@@ -10,7 +10,9 @@ against computations made apart from the program, and prints as its last
 line one JSON object ``{"correct", "attempted", "failed", "metrics"}``.
 With ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1``
 the per-layer ones, from a run whose first half is untraced (the
-baseline for the tracing overhead) and whose second half is traced.
+baseline for the tracing overhead) and whose second half is traced; that
+run also prints the untraced half's end-to-end figures, so one command
+shows every metric.
 Every time is in reference seconds (see ``refclock.py``).  The program is
 imported from ``src/`` of the checkout; without it the benchmark exits
 with code 2 and prints no result.
@@ -301,24 +303,23 @@ def main(argv=None) -> int:
     rec = Recorder()
     clock_u = RefClock()
     if args.trace == 0:
-        wall = runner.rounds(clock_u, rec, args.seconds)
-        setup_ref_s = measure_setup(args, clock_u)
+        wall_u = runner.rounds(clock_u, rec, args.seconds)
     else:
         from layers import LayerTracer
 
-        wall = runner.rounds(clock_u, rec, args.seconds / 2)
+        wall_u = runner.rounds(clock_u, rec, args.seconds / 2)
         tracer = LayerTracer()
         tracer.install()
         pool0 = pool_stats()
         clock = RefClock()
         clock.tracer = tracer
-        if hasattr(w, "reset_log"):
-            w.reset_log()
+        w.reset_log()
         try:
-            wall += runner.rounds(clock, rec, args.seconds / 2)
+            wall_t = runner.rounds(clock, rec, args.seconds / 2)
         finally:
             tracer.uninstall()
         pool1 = pool_stats()
+    setup_ref_s = measure_setup(args, clock_u)
     cache_hits = w.cache_hits()
     runner.close()
 
@@ -330,31 +331,38 @@ def main(argv=None) -> int:
     if cache_hits:
         problems.append(f"the sweep cache served {cache_hits} results")
 
+    e2e = end_to_end(args, clock_u, setup_ref_s)
     if args.trace == 0:
-        metrics = end_to_end(args, clock_u, setup_ref_s)
+        metrics = e2e
     else:
         lookups = (pool1["hits"] - pool0["hits"]) + (pool1["misses"] - pool0["misses"])
         extra = {
             "pool_hit_ratio": (
                 (pool1["hits"] - pool0["hits"]) / lookups if lookups else 0.0, "ratio", lookups),
             "cache_hits": cache_hits,
-            "wall_s": wall,
+            "wall_s": wall_u + wall_t,
         }
         extra.update(w.service_figures(R0_S / clock.median_block_s()))
         metrics = per_layer(args, clock_u, clock, tracer, rec, extra)
         if args.spans:
             tracer.write(args.spans)
 
+    def show(figures: dict) -> None:
+        for name, (value, unit, n) in figures.items():
+            print(f"{name:32s} {value:>14.6g} {unit:10s} n={n}")
+
     print(json.dumps({"provenance": provenance(repro)}))
-    for name, (value, unit, n) in metrics.items():
-        print(f"{name:32s} {value:>14.6g} {unit:10s} n={n}")
-    if args.trace == 0:
-        # Raw figures behind the normalisation (reported, not gated).
-        raw_ops = clock_u.ops() / sum(clock_u.call_wall_s())
-        print(f"{'raw.ops_per_wall_s':32s} {raw_ops:>14.6g} {'1/s':10s} n={clock_u.ops()}")
-        print(f"{'raw.ref_block_ms':32s} {clock_u.median_block_s() * 1e3:>14.6g} "
-              f"{'ms':10s} n={len(clock_u.samples)}")
-        print(f"{'raw.wall_s':32s} {wall:>14.6g} {'s':10s} n=1")
+    if args.trace == 1:
+        print("# end-to-end figures of the untraced half:")
+        show(e2e)
+        print("# per-layer figures of the traced half (the result line):")
+    show(metrics)
+    # Raw figures behind the normalisation (reported, not gated).
+    show({
+        "raw.ops_per_wall_s": (clock_u.ops() / sum(clock_u.call_wall_s()), "1/s", clock_u.ops()),
+        "raw.ref_block_ms": (clock_u.median_block_s() * 1e3, "ms", len(clock_u.samples)),
+        "raw.wall_s": (wall_u, "s", 1),
+    })
     for p in rec.errors:
         print(f"failed op: {p}")
     for p in problems:

@@ -90,6 +90,9 @@ class Workload:
         """Results the sweep cache served (must stay 0)."""
         return 0
 
+    def reset_log(self) -> None:
+        """Forget per-job records kept so far (the traced half starts)."""
+
     def service_figures(self, ref_per_wall: float) -> dict:
         return {
             "queue_wait_p50": (0.0, "ref_ms", 0),
