@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["snapshot", "expected_outputs", "check_outputs", "check_result", "sim_row"]
+__all__ = ["expected_outputs", "check_outputs", "check_result", "sim_row"]
 
 RTOL = 1e-9
 ATOL = 1e-9
@@ -23,11 +23,6 @@ TIME_RTOL = 1e-12
 
 #: The 13-point star stencil: centre weight, then rings 1..3.
 STENCIL_WEIGHTS = (0.5, 0.08, 0.03, 0.014)
-
-
-def snapshot(kernel) -> dict[str, np.ndarray]:
-    """Copies of the kernel's host arrays before it runs."""
-    return {name: arr.copy() for name, arr in kernel.arrays.items()}
 
 
 def _stencil(u: np.ndarray) -> np.ndarray:

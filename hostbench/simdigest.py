@@ -2,15 +2,15 @@
 
 Usage (from the root of a checkout)::
 
-    python3 hostbench/simdigest.py write --out A.json [--seed 1] [--workloads offload,sweep]
+    python3 hostbench/simdigest.py write --out A.json
     python3 hostbench/simdigest.py compare A.json B.json
 
-``write`` runs one untimed round of each workload and records every
-operation's simulated outcome — makespan, per-device iterations,
-reduction and chunk count — plus the round's simulated bytes moved and
-elided.  Run it in two checkouts (say, a commit and its parent) and
-``compare`` the files: it lists the operations whose outcome changed and
-exits 1 if any did.  Nothing is committed as a golden copy, so a change
+``write`` runs one untimed round of each workload, with seed
+``DIGEST_SEED``, and records every operation's simulated outcome —
+makespan, per-device iterations, reduction and chunk count — plus the
+round's simulated bytes moved and elided.  Run it in two checkouts (say,
+a commit and its parent) and ``compare`` the files: it lists the
+operations whose outcome changed and exits 1 if any did.  Nothing is committed as a golden copy, so a change
 that really corrects the model is not held back by a stale digest.
 """
 
@@ -23,21 +23,20 @@ from pathlib import Path
 
 import run  # sets the pinned environment before the program loads
 
+#: The seed of every digest, so two digests always describe the same inputs.
+DIGEST_SEED = 1
+
 
 def write(args) -> int:
     run.import_program()
     from workloads import WORKLOADS, Recorder
 
     out = {}
-    for name in args.workloads.split(","):
-        runner = run.Runner(WORKLOADS[name](args.seed))
+    for name in run.WORKLOAD_NAMES:
+        runner = run.Runner(WORKLOADS[name](DIGEST_SEED))
         runner.setup()
         rec = Recorder()
-        if runner.is_async:
-            runner.loop.run_until_complete(runner.w.run_round(None, rec))
-        else:
-            runner.w.run_round(None, rec)
-        rec.close_round()
+        runner.rounds(None, rec, 0)
         runner.close()
         out[name] = {
             "failed": rec.failed,
@@ -45,16 +44,13 @@ def write(args) -> int:
             "bytes": rec.first_bytes,
         }
         print(f"{name}: {len(rec.first_rows)} operations, {rec.failed} failed", file=sys.stderr)
-    Path(args.out).write_text(json.dumps({"seed": args.seed, "workloads": out}, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps({"workloads": out}, indent=1) + "\n")
     return 0
 
 
 def compare(args) -> int:
     a = json.loads(Path(args.a).read_text())
     b = json.loads(Path(args.b).read_text())
-    if a["seed"] != b["seed"]:
-        print(f"digests were written with different seeds ({a['seed']} vs {b['seed']})")
-        return 1
     differ = 0
     for name in sorted(set(a["workloads"]) | set(b["workloads"])):
         wa, wb = a["workloads"].get(name), b["workloads"].get(name)
@@ -80,8 +76,6 @@ def main(argv=None) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
     w = sub.add_parser("write", help="digest one round of each workload")
     w.add_argument("--out", required=True)
-    w.add_argument("--seed", type=int, default=1)
-    w.add_argument("--workloads", default=",".join(run.WORKLOAD_NAMES))
     c = sub.add_parser("compare", help="compare two digests")
     c.add_argument("a")
     c.add_argument("b")

@@ -2,18 +2,19 @@
 
 Usage (from the root of a checkout)::
 
-    python3 hostbench/steady.py [--runs 10] [--workloads offload,stream]
+    python3 hostbench/steady.py [--runs 10] [--first-seed 1]
 
-Runs each workload ``--runs`` times with seeds ``--first-seed``,
-``--first-seed + 1``, ..., alternating the workload order between
-repetitions so slow phases of the host do not land on one workload.  For
+Runs every workload of ``BENCHMARK.json`` ``--runs`` times for its
+``run_seconds``, with seeds ``--first-seed``, ``--first-seed + 1``, ...,
+alternating the workload order between repetitions so slow phases of the
+host do not land on one workload.  For
 every end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles (``statistics.quantiles(n=4)``) and the spread
 ``(q3 - q1) / median``, flagging a spread above the metric's bound
 (``!``) or above a third of it (``~``), the failed share of operations
 per workload, and the same figures for the unnormalised wall-clock
-throughput and reference-block time.  Exits 1 when any run fails or any spread
-other than ``setup_s``'s exceeds its bound.
+throughput and reference-block time.  Exits 1 when any run is incorrect,
+the failed share differs between runs, or any spread exceeds its bound.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(command, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+def run_once(command, workload: str, seed: int, seconds: int) -> dict:
     out = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", str(trace)],
+                   "--seconds", str(seconds), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=900,
     )
     if out.returncode != 0:
@@ -50,15 +51,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     args = p.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in bench["workloads"]]
     results: dict[str, list[dict]] = {w: [] for w in workloads}
     for i in range(args.runs):
         order = workloads if i % 2 == 0 else workloads[::-1]
         for w in order:
-            results[w].append(run_once(bench["command"], w, args.first_seed + i, args.seconds))
+            results[w].append(
+                run_once(bench["command"], w, args.first_seed + i, bench["run_seconds"]))
             print(f"run {i + 1}/{args.runs} {w} done", file=sys.stderr, flush=True)
     bad = False
     for w in workloads:
@@ -71,8 +71,7 @@ def main(argv=None) -> int:
             q1, med, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med
             flag = "!" if spread > m["bound"] else ("~" if spread > m["bound"] / 3 else " ")
-            if flag == "!" and m["name"] != "setup_s":
-                bad = True
+            bad |= flag == "!"
             print(f"  {flag} {m['name']:22s} median {med:12.5g}  q1 {q1:12.5g}  q3 {q3:12.5g}"
                   f"  spread {spread:7.2%}  bound {m['bound']:.0%}")
         for name in runs[0]["raw"]:
